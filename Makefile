@@ -62,12 +62,14 @@ chaos:
 	$(GO) test -race -count=1 -run 'TestChaos|TestCorpus|TestClusterChaos' \
 		./internal/fault/ -chaos-seeds $(CHAOS_SEEDS) -cluster-seeds $(CLUSTER_SEEDS)
 
-# Short fuzz smoke on the serialization-heavy packages; CI runs this.
+# Short fuzz smoke on the serialization-heavy packages and the scan/probe
+# kernels (against the Interval.Contains oracle); CI runs this.
 FUZZTIME ?= 20s
 fuzz:
 	$(GO) test -fuzz=FuzzWAHRoundTrip -fuzztime=$(FUZZTIME) ./internal/wah/
 	$(GO) test -fuzz=FuzzHistogramMerge -fuzztime=$(FUZZTIME) ./internal/histogram/
 	$(GO) test -fuzz=FuzzParseQuery -fuzztime=$(FUZZTIME) ./internal/qlang/
+	$(GO) test -fuzz=FuzzScanKernel -fuzztime=$(FUZZTIME) ./internal/exec/
 
 # One benchmark per paper figure + ablations + throughput benches.
 bench:

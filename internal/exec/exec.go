@@ -697,7 +697,7 @@ func (e *Engine) evalConjunctScanProbe(tok *sched.Token, cp *ConjunctPlan, q *qu
 		if useIndex {
 			hits, err = te.evalRegionIndex(tok, c, order, objs, r, taskRuns[i], &res.stats, res.condLog)
 		} else {
-			hits, err = te.evalRegionScan(tok, c, order, objs, r, taskRuns[i], nil, &res.stats, res.condLog)
+			hits, err = te.evalRegionScan(tok, c, order, objs, r, taskRuns[i], &res.stats, res.condLog)
 		}
 		if err != nil {
 			return err
@@ -768,9 +768,10 @@ func (e *Engine) evalConjunctScanProbe(tok *sched.Token, cp *ConjunctPlan, q *qu
 
 // evalRegionScan scans the first condition and probes the rest (§III-C:
 // only already selected locations are evaluated for subsequent
-// conditions).
+// conditions). The hit slice is sized by the scan's hits, not by the
+// region: a region without hits allocates nothing.
 func (e *Engine) evalRegionScan(tok *sched.Token, c query.Conjunct, order []object.ID, objs map[object.ID]*object.Object,
-	r int, runs []localRun, buf []uint64, stats *Stats, cs *telemetry.Span) ([]uint64, error) {
+	r int, runs []localRun, stats *Stats, cs *telemetry.Span) ([]uint64, error) {
 
 	first := objs[order[0]]
 	data, err := e.readRegion(first, r)
@@ -778,12 +779,7 @@ func (e *Engine) evalRegionScan(tok *sched.Token, c query.Conjunct, order []obje
 		return nil, err
 	}
 	n := runsElems(runs)
-	if buf == nil {
-		// Pre-size the hit buffer to the scan's worst case (every scanned
-		// element matches) so the append loop in scanTyped never regrows.
-		buf = make([]uint64, 0, n)
-	}
-	hits, err := scanRegion(first.Type, data, runs, c[order[0]], buf[:0])
+	hits, err := scanRegion(first.Type, data, runs, c[order[0]], nil)
 	if err != nil {
 		return nil, err
 	}
@@ -1359,9 +1355,11 @@ func (e *Engine) collectRegionValues(tok *sched.Token, order []object.ID, objs m
 		if err != nil {
 			return err
 		}
+		vs := slices.Grow(vals[id], len(hits))
 		for _, h := range hits {
-			vals[id] = append(vals[id], dtype.At(o.Type, data, int(h)))
+			vs = append(vs, dtype.At(o.Type, data, int(h)))
 		}
+		vals[id] = vs
 	}
 	return nil
 }
