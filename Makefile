@@ -41,6 +41,12 @@ race:
 # brute-force oracle, admission-control overload, worker-count
 # determinism, busy-retry, and async-lifetime leak checks. A separate CI
 # step so scheduler interleaving failures are attributable at a glance.
+# The last two lines are a repeated-run determinism gate: worker-count
+# determinism and flight-recorder replay determinism must hold on 20
+# runs in a row. internal/bench TestConcurrentRun stays out of it until
+# region fills are single-flight: its concurrent sessions share each
+# server's region cache, so its modeled total still depends on goroutine
+# timing.
 stress:
 	$(GO) test -race -count=2 -run \
 		'TestConcurrentSessionsStress|TestOverloadBusyReplies|TestWorkerCountDeterminism' \
@@ -49,6 +55,8 @@ stress:
 		'TestBusyRetry|TestQueryBudgetEndToEnd|TestRunAsyncReapedOnClose|TestClosedClientReturnsError' \
 		./internal/client/
 	$(GO) test -race -count=2 -run 'Test' ./internal/sched/
+	$(GO) test -race -count=20 -run 'TestWorkerCountDeterminism' ./internal/core/
+	$(GO) test -race -count=20 -run 'TestRecorderReplayDeterminism' ./internal/server/
 
 # Chaos soak: CHAOS_SEEDS seeded fault schedules (drop/corrupt/storage
 # faults at deterministic operation counts) against the brute-force
@@ -62,14 +70,16 @@ chaos:
 	$(GO) test -race -count=1 -run 'TestChaos|TestCorpus|TestClusterChaos' \
 		./internal/fault/ -chaos-seeds $(CHAOS_SEEDS) -cluster-seeds $(CLUSTER_SEEDS)
 
-# Short fuzz smoke on the serialization-heavy packages and the scan/probe
-# kernels (against the Interval.Contains oracle); CI runs this.
+# Short fuzz smoke on the serialization-heavy packages, the scan/probe
+# kernels (against the Interval.Contains oracle) and the PDC-SH hit
+# order (against slices.SortFunc); CI runs this.
 FUZZTIME ?= 20s
 fuzz:
 	$(GO) test -fuzz=FuzzWAHRoundTrip -fuzztime=$(FUZZTIME) ./internal/wah/
 	$(GO) test -fuzz=FuzzHistogramMerge -fuzztime=$(FUZZTIME) ./internal/histogram/
 	$(GO) test -fuzz=FuzzParseQuery -fuzztime=$(FUZZTIME) ./internal/qlang/
 	$(GO) test -fuzz=FuzzScanKernel -fuzztime=$(FUZZTIME) ./internal/exec/
+	$(GO) test -fuzz=FuzzHitOrder -fuzztime=$(FUZZTIME) ./internal/exec/
 
 # One benchmark per paper figure + ablations + throughput benches.
 bench:

@@ -1,12 +1,14 @@
 package core
 
 import (
+	"slices"
 	"testing"
 
 	"pdcquery/internal/dtype"
 	"pdcquery/internal/exec"
 	"pdcquery/internal/object"
 	"pdcquery/internal/query"
+	"pdcquery/internal/region"
 	"pdcquery/internal/workload"
 )
 
@@ -90,23 +92,49 @@ func TestCompanionGetData(t *testing.T) {
 
 func TestCompanionMixedConditions(t *testing.T) {
 	// A query mixing companion (x) and non-companion (Ux) conditions
-	// exercises both probe paths in one conjunct.
-	d, ids := companionDeployment(t, 20000)
-	q := &query.Query{Root: query.And(
-		query.Leaf(ids["Energy"], query.OpGT, 2.0),
+	// exercises both probe paths in one conjunct; the constrained case
+	// adds the sorted tasks' coordinate filter. Servers collect the
+	// values on the way, so GetData of the sort key (Energy), the
+	// companion (x) and the rest object (Ux) serves what the merge wrote.
+	const n = 20000
+	d, ids := companionDeployment(t, n)
+	v := workload.GenerateVPIC(n, 42)
+	root := query.And(
+		query.Leaf(ids["Energy"], query.OpGT, 0.5),
 		query.And(
-			query.Between(ids["x"], 100, 200, false, false),
-			query.Leaf(ids["Ux"], query.OpGT, 0)))}
-	want, err := d.GroundTruth(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := d.Client().Run(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Sel.NHits != want.NHits {
-		t.Fatalf("%d hits, want %d", res.Sel.NHits, want.NHits)
+			query.Between(ids["x"], 100, 300, false, false),
+			query.Leaf(ids["Ux"], query.OpGT, 0)))
+	for _, cons := range []*region.Region{nil, {Offset: []uint64{1200}, Count: []uint64{1500}}} {
+		q := &query.Query{Root: root, Constraint: cons}
+		want, err := d.GroundTruth(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want.NHits == 0 {
+			t.Fatalf("constraint %v: fixture has no hits", cons)
+		}
+		res, err := d.Client().Run(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(res.Sel.Coords, want.Coords) {
+			t.Fatalf("constraint %v: %d hits, want %d; coordinates differ from the ground truth", cons, res.Sel.NHits, want.NHits)
+		}
+		for _, name := range []string{"Energy", "x", "Ux"} {
+			data, _, err := res.GetData(ids[name])
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := dtype.View[float32](data)
+			if len(got) != len(want.Coords) {
+				t.Fatalf("constraint %v: %s: %d values for %d hits", cons, name, len(got), len(want.Coords))
+			}
+			for i, c := range want.Coords {
+				if got[i] != v.Vars[name][c] {
+					t.Fatalf("constraint %v: %s[%d] = %v, want %v", cons, name, c, got[i], v.Vars[name][c])
+				}
+			}
+		}
 	}
 }
 

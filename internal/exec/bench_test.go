@@ -1,11 +1,14 @@
 package exec
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
 	"pdcquery/internal/dtype"
+	"pdcquery/internal/object"
 	"pdcquery/internal/query"
+	"pdcquery/internal/selection"
 )
 
 func BenchmarkScanKernelFloat32(b *testing.B) {
@@ -67,5 +70,51 @@ func BenchmarkProbeKernel(b *testing.B) {
 		copy(hits, base)
 		hits, _ = probeRegion(dtype.Float32, data, hits, iv)
 		hits = hits[:cap(hits)]
+	}
+}
+
+// thermalFixture is one Energy object of n elements drawn from a
+// VPIC-like thermal spectrum (exponential, rate 6), in regions of
+// regionElems, with a sorted replica of the same region size.
+func thermalFixture(tb testing.TB, n int, regionElems uint64) *fixture {
+	rng := rand.New(rand.NewSource(1))
+	energy := make([]float32, n)
+	for i := range energy {
+		energy[i] = float32(rng.ExpFloat64() / 6)
+	}
+	return buildFixture(tb, []string{"Energy"}, func(_ string, i int) float32 { return energy[i] }, n, regionElems, false, true)
+}
+
+// BenchmarkSortedConjunct runs the PDC-SH path over a 2^18-element
+// object for a wide Energy window (0.3 < Energy < 0.9, about 16% of the
+// elements, spread over every original region), with the matching
+// values collected and without. The sorted extents are cached, so the
+// time is the sorted-region tasks plus the merge into coordinate order.
+func BenchmarkSortedConjunct(b *testing.B) {
+	const n = 1 << 18
+	f := thermalFixture(b, n, 1<<14)
+	e, _ := f.engine(SortedHistogram)
+	q := &query.Query{}
+	c := query.Conjunct{1: query.Interval{Lo: 0.3, Hi: 0.9}}
+	order := []object.ID{1}
+	sorted := f.fullAssign().Sorted
+	for _, collect := range []bool{false, true} {
+		b.Run(fmt.Sprintf("collect=%v", collect), func(b *testing.B) {
+			var stats Stats
+			run := func() *selection.Selection {
+				sel, _, err := e.evalConjunctSorted(nil, q, c, order, f.objs, f.objs[1], f.reps[1], sorted, collect, &stats, nil)
+				if err != nil {
+					b.Fatal(err)
+				}
+				return sel
+			}
+			hits := run().NHits // warms the cache
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				run()
+			}
+			b.ReportMetric(float64(hits), "hits")
+		})
 	}
 }

@@ -25,6 +25,7 @@ package exec
 import (
 	"cmp"
 	"fmt"
+	"math"
 	"slices"
 	"time"
 
@@ -721,10 +722,17 @@ func (e *Engine) evalConjunctScanProbe(tok *sched.Token, cp *ConjunctPlan, q *qu
 		return nil, nil, err
 	}
 
+	n := 0
+	for _, res := range results {
+		n += len(res.hits)
+	}
 	var coords []uint64
-	var vals map[object.ID][]float64
+	if n > 0 {
+		coords = make([]uint64, 0, n)
+	}
+	var cols map[object.ID][]byte
 	if collect {
-		vals = make(map[object.ID][]float64, len(order))
+		cols = valueColumns(order, objs, n)
 	}
 	for _, en := range entries {
 		if en.task < 0 {
@@ -750,7 +758,7 @@ func (e *Engine) evalConjunctScanProbe(tok *sched.Token, cp *ConjunctPlan, q *qu
 		start := anchor.LinearStart(en.r)
 		if collect {
 			for _, id := range order {
-				vals[id] = append(vals[id], res.vals[id]...)
+				putColumn(objs[id].Type, cols[id], len(coords), res.vals[id])
 			}
 		}
 		for _, h := range res.hits {
@@ -758,12 +766,7 @@ func (e *Engine) evalConjunctScanProbe(tok *sched.Token, cp *ConjunctPlan, q *qu
 		}
 	}
 	e.Phases.Add(telemetry.PhaseRegionExec, e.vnow()-execV, e.wnow()-execW)
-	sel := selection.New(coords, anchor.Dims)
-	var out map[object.ID][]byte
-	if collect {
-		out = encodeValues(order, objs, vals)
-	}
-	return sel, out, nil
+	return selection.New(coords, anchor.Dims), cols, nil
 }
 
 // evalRegionScan scans the first condition and probes the rest (§III-C:
@@ -963,14 +966,6 @@ func (e *Engine) evalIndexCondition(o *object.Object, r int, iv query.Interval, 
 	return acc, nil
 }
 
-// shHit carries one PDC-SH match: the original coordinate plus the
-// values already in hand (key first, then companions in compIDs order)
-// for the stash.
-type shHit struct {
-	coord uint64
-	vals  []float64
-}
-
 // sortedTaskResult is the PDC-SH counterpart of regionTaskResult: what
 // one sorted-region task produced on its shadow engine.
 type sortedTaskResult struct {
@@ -979,15 +974,23 @@ type sortedTaskResult struct {
 	acct    *vclock.Account
 	stats   Stats
 	cacheEv CacheTraffic // cache traffic, flushed at the merge barrier
-	hits    []shHit
+	// coords are the region's hits as original coordinates, in sorted
+	// (value) order. When values are collected, vals holds hit k's key
+	// value then its companion values in compIDs order, at
+	// vals[k*(1+len(compIDs)):].
+	coords []uint64
+	vals   []float64
 }
 
 // evalConjunctSorted is the PDC-SH path: resolve the most selective
 // condition from the sorted replica, then probe the remaining conditions
 // at the matching original locations. Sorted regions fan out over the
 // worker pool with the same shadow-engine / ordered-merge discipline as
-// the scan+probe path; the rest-condition probe stays serial (it walks
-// the globally sorted hit list region by region).
+// the scan+probe path. At the merge barrier the tasks' flat hit buffers
+// are concatenated and put into coordinate order by a radix sort
+// (sortHits); the rest-condition probe stays serial (it walks the
+// ordered hits region by region) and writes survivors' values straight
+// into the output columns.
 func (e *Engine) evalConjunctSorted(tok *sched.Token, q *query.Query, c query.Conjunct, order []object.ID,
 	objs map[object.ID]*object.Object, anchor *object.Object, rep *sortstore.Replica,
 	sortedAssign []int, collect bool, stats *Stats, cs *telemetry.Span) (*selection.Selection, map[object.ID][]byte, error) {
@@ -1009,6 +1012,7 @@ func (e *Engine) evalConjunctSorted(tok *sched.Token, q *query.Query, c query.Co
 			restIDs = append(restIDs, id)
 		}
 	}
+	stride := 1 + len(compIDs)
 
 	pruneV, pruneW := e.vnow(), e.wnow()
 	var candidates []int
@@ -1044,124 +1048,17 @@ func (e *Engine) evalConjunctSorted(tok *sched.Token, q *query.Query, c query.Co
 				res.span.SetStr("decision", telemetry.DecisionScan)
 			}
 		}
-		ss := res.span
-		// finish seals the task at any of its exit points: the span's
-		// cost is the shadow account's whole accumulation, matching the
-		// serial path's spanCost delta across the region body.
-		finish := func(matched int) {
-			if res.acct != nil {
-				ss.AddCost(res.acct.Cost())
-			}
-			ss.SetInt("matched", int64(matched))
-			results[ti] = res
-		}
-		valBytes, err := te.readExtent(object.SortedValKey(keyID, s))
+		matched, err := te.evalSortedRegion(tok, q, c, keyID, compIDs, rep, anchor, s, collect, res)
 		if err != nil {
 			return err
 		}
-		lo, hi := rep.EvaluateRegion(valBytes, iv)
-		condIn(res.condLog, keyID, int64(rep.Regions[s].Count))
-		condOut(res.condLog, keyID, int64(hi-lo))
-		res.stats.SortedRegions++
-		if hi <= lo {
-			finish(0)
-			return nil
+		// The span's cost is the shadow account's whole accumulation,
+		// matching the serial path's spanCost delta across the region.
+		if res.acct != nil {
+			res.span.AddCost(res.acct.Cost())
 		}
-		if te.Acct != nil {
-			te.Acct.Charge(vclock.Compute, computeCost(int64(hi-lo), probeNsPerElem))
-		}
-
-		// Resolve companion conditions first: contiguous co-sorted reads,
-		// no permutation needed for eliminated positions.
-		positions := make([]int, 0, hi-lo)
-		for i := lo; i < hi; i++ {
-			positions = append(positions, i)
-		}
-		var compVals [][]float64
-		if collect {
-			compVals = make([][]float64, len(positions))
-		}
-		alive := positions
-		for _, id := range compIDs {
-			if err := tok.Err(); err != nil {
-				return err
-			}
-			if len(alive) == 0 {
-				break
-			}
-			data, err := te.readExtent(sortstore.CompanionValKey(keyID, id, s))
-			if err != nil {
-				return err
-			}
-			civ := c[id]
-			ct, err := companionType(rep, id)
-			if err != nil {
-				return err
-			}
-			res.stats.Probes += int64(len(alive))
-			condIn(res.condLog, id, int64(len(alive)))
-			if te.Acct != nil {
-				te.Acct.Charge(vclock.Compute, computeCost(int64(len(alive)), probeNsPerElem))
-			}
-			keep := alive[:0]
-			for k, pos := range alive {
-				v := dtype.At(ct, data, pos)
-				if civ.Contains(v) {
-					if collect {
-						compVals[len(keep)] = append(compVals[k], v)
-					}
-					keep = append(keep, pos)
-				}
-			}
-			alive = keep
-			condOut(res.condLog, id, int64(len(alive)))
-			if collect {
-				compVals = compVals[:len(alive)]
-			}
-		}
-		if len(alive) == 0 {
-			finish(0)
-			return nil
-		}
-
-		// Fetch the surviving positions' permutation entries. When most
-		// of the region survives, read (and cache) the whole extent; for
-		// a narrow match, a ranged read of the needed slice is cheaper.
-		pw := rep.PermWidth()
-		regionElems := int(rep.Regions[s].Count)
-		var permBytes []byte
-		permBase := alive[0]
-		if hi-lo >= regionElems/4 {
-			full, err := te.readExtent(object.SortedPermKey(keyID, s))
-			if err != nil {
-				return err
-			}
-			permBytes = full
-			permBase = 0
-		} else {
-			span := alive[len(alive)-1] - permBase + 1
-			var err error
-			permBytes, err = te.Store.Read(te.Acct, object.SortedPermKey(keyID, s), int64(permBase)*pw, int64(span)*pw)
-			if err != nil {
-				return err
-			}
-		}
-		cbuf := make([]uint64, len(anchor.Dims))
-		for k, pos := range alive {
-			coord := rep.PermAt(permBytes, pos-permBase)
-			if q.Constraint != nil {
-				cbuf = region.LinearToCoord(anchor.Dims, coord, cbuf)
-				if !q.Constraint.ContainsCoord(cbuf) {
-					continue
-				}
-			}
-			h := shHit{coord: coord}
-			if collect {
-				h.vals = append([]float64{dtype.At(rep.Type, valBytes, pos)}, compVals[k]...)
-			}
-			res.hits = append(res.hits, h)
-		}
-		finish(len(alive))
+		res.span.SetInt("matched", int64(matched))
+		results[ti] = res
 		return nil
 	}
 	execV, execW := e.vnow(), e.wnow()
@@ -1169,7 +1066,7 @@ func (e *Engine) evalConjunctSorted(tok *sched.Token, q *query.Query, c query.Co
 		return nil, nil, err
 	}
 
-	var hits []shHit
+	n := 0
 	for ti := range candidates {
 		res := results[ti]
 		cs.Adopt(res.span)
@@ -1179,37 +1076,57 @@ func (e *Engine) evalConjunctSorted(tok *sched.Token, q *query.Query, c query.Co
 		}
 		stats.Add(res.stats)
 		e.flushCacheTraffic(&res.cacheEv)
-		e.Rec.Record(telemetry.EvRegionExec, 0, e.SrvID, e.vnow(), int64(candidates[ti]), int64(len(res.hits)))
-		hits = append(hits, res.hits...)
+		e.Rec.Record(telemetry.EvRegionExec, 0, e.SrvID, e.vnow(), int64(candidates[ti]), int64(len(res.coords)))
+		n += len(res.coords)
 	}
-	slices.SortFunc(hits, func(a, b shHit) int { return cmp.Compare(a.coord, b.coord) })
-
-	var vals map[object.ID][]float64
+	if n > math.MaxUint32 {
+		return nil, nil, fmt.Errorf("exec: %d sorted-path hits exceed the merge's 32-bit hit index", n)
+	}
+	// Concatenate the task buffers and put the hits into coordinate
+	// order; idx locates each hit's collected values in vals.
+	coords := make([]uint64, 0, n)
+	var vals []float64
 	if collect {
-		vals = make(map[object.ID][]float64, len(order))
+		vals = make([]float64, 0, n*stride)
 	}
-	var coords []uint64
+	for _, res := range results {
+		coords = append(coords, res.coords...)
+		vals = append(vals, res.vals...)
+	}
+	coords, idx := sortHits(coords, collect)
+
+	var cols map[object.ID][]byte
+	if collect {
+		cols = valueColumns(order, objs, n)
+	}
+	keyType := objs[keyID].Type
 	// Probe the remaining conditions region by region against the
 	// original (unsorted) objects. Only the already-selected locations
 	// are evaluated (§III-C); when they are a small fraction of the
 	// region, the probe uses aggregated ranged reads of just those
-	// elements (§III-E) instead of pulling the whole region.
-	for i := 0; i < len(hits); {
+	// elements (§III-E) instead of pulling the whole region. Each
+	// region's group of coords is turned into local indices in place and
+	// compacted together with its payload; survivors are written back to
+	// coords[:w], which never overtakes the group being read.
+	w := 0
+	for i := 0; i < n; {
 		if err := tok.Err(); err != nil {
 			return nil, nil, err
 		}
-		r := anchor.RegionOfLinear(hits[i].coord)
+		r := anchor.RegionOfLinear(coords[i])
 		start := anchor.LinearStart(r)
 		regionElems := anchor.Regions[r].Region.NumElems()
 		end := start + regionElems
 		j := i
-		var local []uint64
-		for j < len(hits) && hits[j].coord < end {
-			local = append(local, hits[j].coord-start)
+		for j < n && coords[j] < end {
+			coords[j] -= start
 			j++
 		}
-		group := hits[i:j]
-		surviving := local
+		surviving := coords[i:j]
+		var payload []uint32
+		if idx != nil {
+			payload = idx[i:j]
+		}
 		var rs *telemetry.Span
 		if len(restIDs) > 0 {
 			rs = cs.Child(telemetry.SpanRegion, fmt.Sprintf("region.%d", r))
@@ -1236,29 +1153,31 @@ func (e *Engine) evalConjunctSorted(tok *sched.Token, q *query.Query, c query.Co
 			if err != nil {
 				return nil, nil, err
 			}
-			keep := surviving[:0]
+			keep := 0
 			for k, lidx := range surviving {
 				if c[id].Contains(probed[k]) {
-					keep = append(keep, lidx)
+					surviving[keep] = lidx
+					if payload != nil {
+						payload[keep] = payload[k]
+					}
+					keep++
 				}
 			}
-			surviving = keep
+			surviving = surviving[:keep]
+			if payload != nil {
+				payload = payload[:keep]
+			}
 			condOut(cs, id, int64(len(surviving)))
 		}
 		if len(surviving) > 0 {
 			stats.RegionsEvaluated++
 			if collect {
-				// Key and companion values are already in the hits; the
-				// probe objects are re-fetched for the final survivors.
-				ki := 0
-				for _, lidx := range surviving {
-					for group[ki].coord-start != lidx {
-						ki++
-					}
-					vals[keyID] = append(vals[keyID], group[ki].vals[0])
-					for ci, id := range compIDs {
-						vals[id] = append(vals[id], group[ki].vals[1+ci])
-					}
+				// Key and companion values are already in the task
+				// buffers; the probe objects are re-fetched for the
+				// final survivors.
+				gatherColumn(keyType, cols[keyID], w, vals, stride, payload)
+				for ci, id := range compIDs {
+					gatherColumn(objs[id].Type, cols[id], w, vals[1+ci:], stride, payload)
 				}
 				for _, id := range restIDs {
 					o := objs[id]
@@ -1266,11 +1185,12 @@ func (e *Engine) evalConjunctSorted(tok *sched.Token, q *query.Query, c query.Co
 					if err != nil {
 						return nil, nil, err
 					}
-					vals[id] = append(vals[id], probed...)
+					putColumn(o.Type, cols[id], w, probed)
 				}
 			}
 			for _, lidx := range surviving {
-				coords = append(coords, start+lidx)
+				coords[w] = start + lidx
+				w++
 			}
 		}
 		e.spanCostDone(rs, rsBefore, rsCosted)
@@ -1278,12 +1198,172 @@ func (e *Engine) evalConjunctSorted(tok *sched.Token, q *query.Query, c query.Co
 		i = j
 	}
 	e.Phases.Add(telemetry.PhaseRegionExec, e.vnow()-execV, e.wnow()-execW)
-	sel := selection.New(coords, anchor.Dims)
-	var out map[object.ID][]byte
-	if collect {
-		out = encodeValues(order, objs, vals)
+	// The selection and the columns were sized before the rest
+	// conditions dropped hits. The server stashes both, so when fewer
+	// than half survive they are copied to exact size.
+	exact := w < n/2
+	switch {
+	case w == 0:
+		coords = nil
+	case exact:
+		out := make([]uint64, w)
+		copy(out, coords)
+		coords = out
 	}
-	return sel, out, nil
+	for _, id := range order {
+		if col, ok := cols[id]; ok {
+			size := w * objs[id].Type.Size()
+			switch {
+			case w == 0:
+				delete(cols, id)
+			case exact:
+				out := make([]byte, size)
+				copy(out, col)
+				cols[id] = out
+			default:
+				cols[id] = col[:size]
+			}
+		}
+	}
+	return selection.New(coords[:w], anchor.Dims), cols, nil
+}
+
+// evalSortedRegion is one PDC-SH task: it resolves the key condition in
+// sorted region s by binary search, filters the matches by the
+// companion conditions, maps the survivors through the permutation to
+// original coordinates and applies the spatial constraint. The hits go
+// to res.coords in sorted (value) order, with their key and companion
+// values in res.vals when collect is set. It returns the number of
+// matches before the constraint. e is the task's shadow engine.
+func (e *Engine) evalSortedRegion(tok *sched.Token, q *query.Query, c query.Conjunct, keyID object.ID, compIDs []object.ID,
+	rep *sortstore.Replica, anchor *object.Object, s int, collect bool, res *sortedTaskResult) (int, error) {
+
+	iv := c[keyID]
+	valBytes, err := e.readExtent(object.SortedValKey(keyID, s))
+	if err != nil {
+		return 0, err
+	}
+	lo, hi := rep.EvaluateRegion(valBytes, iv)
+	condIn(res.condLog, keyID, int64(rep.Regions[s].Count))
+	condOut(res.condLog, keyID, int64(hi-lo))
+	res.stats.SortedRegions++
+	if hi <= lo {
+		return 0, nil
+	}
+	if e.Acct != nil {
+		e.Acct.Charge(vclock.Compute, computeCost(int64(hi-lo), probeNsPerElem))
+	}
+
+	// Resolve companion conditions first: contiguous co-sorted reads, no
+	// permutation needed for eliminated positions. The extents stay in
+	// hand so survivors' values can be collected below. alive lists the
+	// surviving positions once a companion condition has filtered them;
+	// until then every position in [lo, hi) survives and no list is
+	// built.
+	count := hi - lo
+	var alive []int
+	type column struct {
+		typ  dtype.Type
+		data []byte
+	}
+	comps := make([]column, len(compIDs))
+	for ci, id := range compIDs {
+		if err := tok.Err(); err != nil {
+			return 0, err
+		}
+		if count == 0 {
+			break
+		}
+		data, err := e.readExtent(sortstore.CompanionValKey(keyID, id, s))
+		if err != nil {
+			return 0, err
+		}
+		civ := c[id]
+		ct, err := companionType(rep, id)
+		if err != nil {
+			return 0, err
+		}
+		comps[ci] = column{typ: ct, data: data}
+		res.stats.Probes += int64(count)
+		condIn(res.condLog, id, int64(count))
+		if e.Acct != nil {
+			e.Acct.Charge(vclock.Compute, computeCost(int64(count), probeNsPerElem))
+		}
+		if alive == nil {
+			alive = make([]int, 0, count)
+			for pos := lo; pos < hi; pos++ {
+				if civ.Contains(dtype.At(ct, data, pos)) {
+					alive = append(alive, pos)
+				}
+			}
+		} else {
+			keep := alive[:0]
+			for _, pos := range alive {
+				if civ.Contains(dtype.At(ct, data, pos)) {
+					keep = append(keep, pos)
+				}
+			}
+			alive = keep
+		}
+		count = len(alive)
+		condOut(res.condLog, id, int64(count))
+	}
+	if count == 0 {
+		return 0, nil
+	}
+	first, last := lo, hi-1
+	if alive != nil {
+		first, last = alive[0], alive[count-1]
+	}
+
+	// Fetch the surviving positions' permutation entries. When most of
+	// the region survives, read (and cache) the whole extent; for a
+	// narrow match, a ranged read of the needed slice is cheaper.
+	pw := rep.PermWidth()
+	regionElems := int(rep.Regions[s].Count)
+	var permBytes []byte
+	permBase := first
+	if hi-lo >= regionElems/4 {
+		full, err := e.readExtent(object.SortedPermKey(keyID, s))
+		if err != nil {
+			return 0, err
+		}
+		permBytes = full
+		permBase = 0
+	} else {
+		span := last - permBase + 1
+		var err error
+		permBytes, err = e.Store.Read(e.Acct, object.SortedPermKey(keyID, s), int64(permBase)*pw, int64(span)*pw)
+		if err != nil {
+			return 0, err
+		}
+	}
+	res.coords = make([]uint64, 0, count)
+	if collect {
+		res.vals = make([]float64, 0, count*(1+len(compIDs)))
+	}
+	cbuf := make([]uint64, len(anchor.Dims))
+	for k := 0; k < count; k++ {
+		pos := lo + k
+		if alive != nil {
+			pos = alive[k]
+		}
+		coord := rep.PermAt(permBytes, pos-permBase)
+		if q.Constraint != nil {
+			cbuf = region.LinearToCoord(anchor.Dims, coord, cbuf)
+			if !q.Constraint.ContainsCoord(cbuf) {
+				continue
+			}
+		}
+		res.coords = append(res.coords, coord)
+		if collect {
+			res.vals = append(res.vals, dtype.At(rep.Type, valBytes, pos))
+			for _, cc := range comps {
+				res.vals = append(res.vals, dtype.At(cc.typ, cc.data, pos))
+			}
+		}
+	}
+	return count, nil
 }
 
 // companionType returns the element type of a companion copy. A missing
@@ -1364,19 +1444,36 @@ func (e *Engine) collectRegionValues(tok *sched.Token, order []object.ID, objs m
 	return nil
 }
 
-// encodeValues converts collected float64 values back to each object's
-// element type.
-func encodeValues(order []object.ID, objs map[object.ID]*object.Object, vals map[object.ID][]float64) map[object.ID][]byte {
-	out := make(map[object.ID][]byte, len(vals))
-	for id, vs := range vals {
-		o := objs[id]
-		buf := make([]byte, len(vs)*o.Type.Size())
-		for i, v := range vs {
-			dtype.Put(o.Type, buf, i, v)
-		}
-		out[id] = buf
+// valueColumns allocates the collected-value output of a conjunct with
+// n hits: one column per queried object, sized for n values of the
+// object's element type, written in place as hits are merged. Without
+// hits it is empty, as when nothing was collected.
+func valueColumns(order []object.ID, objs map[object.ID]*object.Object, n int) map[object.ID][]byte {
+	cols := make(map[object.ID][]byte, len(order))
+	if n == 0 {
+		return cols
 	}
-	return out
+	for _, id := range order {
+		cols[id] = make([]byte, n*objs[id].Type.Size())
+	}
+	return cols
+}
+
+// putColumn stores vs as elements at, at+1, ... of the output column
+// col, converted to t.
+func putColumn(t dtype.Type, col []byte, at int, vs []float64) {
+	for k, v := range vs {
+		dtype.Put(t, col, at+k, v)
+	}
+}
+
+// gatherColumn stores src[p*stride] for each p of payload as elements
+// at, at+1, ... of the output column col, converted to t: one column of
+// a strided value buffer, in the order the payload gives.
+func gatherColumn(t dtype.Type, col []byte, at int, src []float64, stride int, payload []uint32) {
+	for k, p := range payload {
+		dtype.Put(t, col, at+k, src[int(p)*stride])
+	}
 }
 
 // ExtractValues reads the values of an object at the given sorted

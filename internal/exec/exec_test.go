@@ -30,7 +30,7 @@ type fixture struct {
 	nreg    int
 }
 
-func buildFixture(t *testing.T, names []string, gen func(name string, i int) float32,
+func buildFixture(t testing.TB, names []string, gen func(name string, i int) float32,
 	n int, regionElems uint64, withIndex, withSorted bool) *fixture {
 	t.Helper()
 	f := &fixture{

@@ -36,6 +36,9 @@ type FairQueue[T any] struct {
 	size     int
 	hiwater  int // max total backlog ever observed (monotonic)
 	closed   bool
+	// admitted, when set, runs inside Push's critical section for each
+	// accepted item (see OnAdmit).
+	admitted func(v T, queued int)
 }
 
 // NewFairQueue builds a queue with the given per-session depth bound
@@ -50,6 +53,18 @@ func NewFairQueue[T any](depth int, quantum int64) *FairQueue[T] {
 	q := &FairQueue[T]{depth: depth, quantum: quantum, sessions: make(map[uint64]*fqSession[T])}
 	q.cond = sync.NewCond(&q.mu)
 	return q
+}
+
+// OnAdmit installs fn to be called for every item Push accepts, with the
+// session backlog after the push, before the item becomes visible to
+// Pop. Whatever fn records about the admission therefore precedes
+// everything a consumer records about the item. fn runs with the queue
+// locked and must not call back into the queue. Rejected pushes do not
+// call it.
+func (q *FairQueue[T]) OnAdmit(fn func(v T, queued int)) {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	q.admitted = fn
 }
 
 // Push enqueues v for the session, with a relative service cost (floored
@@ -76,6 +91,9 @@ func (q *FairQueue[T]) Push(session uint64, cost int64, v T) (int, error) {
 	}
 	if len(s.items) >= q.depth {
 		return len(s.items), ErrBusy
+	}
+	if q.admitted != nil {
+		q.admitted(v, len(s.items)+1)
 	}
 	s.items = append(s.items, v)
 	s.costs = append(s.costs, cost)

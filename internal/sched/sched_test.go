@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -134,6 +135,32 @@ func TestFairQueueAdmissionControl(t *testing.T) {
 	}
 	if got := q.SessionLen(7); got != 2 {
 		t.Fatalf("SessionLen(7) = %d, want 2", got)
+	}
+}
+
+// TestFairQueueOnAdmit: the admit hook sees every accepted item with
+// the backlog Push reports, before the item is counted in the queue
+// (so before Pop can take it), and never sees a rejected or post-Close
+// push.
+func TestFairQueueOnAdmit(t *testing.T) {
+	q := NewFairQueue[int](2, 1)
+	type admit struct{ v, queued, size int }
+	var got []admit
+	q.OnAdmit(func(v, queued int) {
+		got = append(got, admit{v, queued, q.size}) // q.mu is held
+	})
+	for _, v := range []int{10, 11, 12} {
+		q.Push(7, 1, v) // the third is rejected: depth 2
+	}
+	if v, ok := q.Pop(); !ok || v != 10 {
+		t.Fatalf("Pop = %d, %v", v, ok)
+	}
+	q.Push(7, 1, 13)
+	q.Close()
+	q.Push(7, 1, 14)
+	want := []admit{{10, 1, 0}, {11, 2, 1}, {13, 2, 1}}
+	if !slices.Equal(got, want) {
+		t.Fatalf("admits = %v, want %v", got, want)
 	}
 }
 

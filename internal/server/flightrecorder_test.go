@@ -244,3 +244,59 @@ func TestSlowQueryThresholdRespected(t *testing.T) {
 		t.Errorf("query.slow = %d, want 0", got)
 	}
 }
+
+// TestAdmitPrecedesDispatch: every served request's admit event comes
+// before its dispatch event. The admit is recorded inside the fair
+// queue's critical section; recorded after Push returned, a dispatcher
+// could pop the request and record its dispatch first. Requests are
+// pipelined in batches up to the queue depth against two dispatchers,
+// so pops race pushes throughout.
+func TestAdmitPrecedesDispatch(t *testing.T) {
+	st, meta, oid := testWorld(t)
+	srv, conn := testServerCfg(t, Config{
+		ID: 0, N: 1, Store: st, Meta: meta, Strategy: exec.Histogram,
+		Workers: 2, RecorderEvents: 1 << 14,
+	})
+	q := &query.Query{Root: query.Leaf(oid, query.OpGE, 5)}
+	payload := EncodeQueryRequest(0, q.Encode())
+	const batches, batch = 20, DefaultQueueDepth
+	for b := 0; b < batches; b++ {
+		for i := 0; i < batch; i++ {
+			m := transport.Message{Type: MsgQuery, ReqID: uint64(b*batch + i + 1), Payload: payload}
+			if err := conn.Send(m); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i := 0; i < batch; i++ {
+			reply, err := conn.Recv()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if reply.Type != MsgQueryResult {
+				t.Fatalf("request %d: reply type %d: %s", reply.ReqID, reply.Type, reply.Payload)
+			}
+		}
+	}
+	admit := make(map[int64]uint64)
+	dispatched := 0
+	for _, e := range srv.Recorder().Snapshot() {
+		switch e.Kind {
+		case telemetry.EvAdmit:
+			if _, dup := admit[e.A]; dup {
+				t.Errorf("request %d admitted twice", e.A)
+			}
+			admit[e.A] = e.Seq
+		case telemetry.EvDispatch:
+			dispatched++
+			seq, ok := admit[e.A]
+			if !ok {
+				t.Errorf("request %d dispatched (seq %d) before any admit event", e.A, e.Seq)
+			} else if seq > e.Seq {
+				t.Errorf("request %d: admit seq %d after dispatch seq %d", e.A, seq, e.Seq)
+			}
+		}
+	}
+	if dispatched != batches*batch {
+		t.Errorf("%d dispatch events, want %d", dispatched, batches*batch)
+	}
+}

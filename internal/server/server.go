@@ -200,6 +200,11 @@ func New(cfg Config) *Server {
 	}
 	s.pool = sched.NewPool(cfg.Workers)
 	s.queue = sched.NewFairQueue[*queuedReq](s.queueDepth, 1)
+	// The admit event is recorded inside the queue's critical section,
+	// so a dispatcher cannot record the request's dispatch first.
+	s.queue.OnAdmit(func(qr *queuedReq, queued int) {
+		s.rec.Record(telemetry.EvAdmit, 0, int32(s.cfg.ID), 0, int64(qr.m.ReqID), int64(queued))
+	})
 	s.baseCtx, s.baseCancel = context.WithCancel(context.Background())
 	s.rec = telemetry.NewRecorder(cfg.RecorderEvents, cfg.Clock)
 	s.engine = &exec.Engine{
@@ -525,11 +530,10 @@ func (s *Server) Serve(conn transport.Conn) error {
 		qr := &queuedReq{ss: ss, m: m, enq: s.clock().Now()}
 		// The queue reports the session backlog from inside its critical
 		// section: re-reading SessionLen here would race with dispatchers
-		// popping the request we just pushed.
+		// popping the request we just pushed. An accepted push has
+		// already recorded its admit event (see OnAdmit in New).
 		queued, err := s.queue.Push(ss.key, 1, qr)
-		if err == nil {
-			s.rec.Record(telemetry.EvAdmit, 0, int32(s.cfg.ID), 0, int64(m.ReqID), int64(queued))
-		} else {
+		if err != nil {
 			ss.inflight.Done()
 			if errors.Is(err, sched.ErrBusy) {
 				// Admission control: the session's backlog is full.
